@@ -417,7 +417,7 @@ def _cmd_report(args) -> int:
     except (OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: cannot load {events}: {exc}", file=sys.stderr)
         return 2
-    if not tracer.records:
+    if not len(tracer):
         print(f"error: no span records in {events} (was the run traced "
               f"with spans enabled?)", file=sys.stderr)
         return 2

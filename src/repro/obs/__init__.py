@@ -67,6 +67,7 @@ from repro.obs.span import (
     INSTANT_STAGES,
     LEAF_STAGES,
     NullTracer,
+    SpanColumns,
     SpanTracer,
     TraceRecord,
     Tracer,
@@ -85,6 +86,7 @@ __all__ = [
     "MetricsRegistry",
     "MetricsSampler",
     "NullTracer",
+    "SpanColumns",
     "SpanTracer",
     "Telemetry",
     "TraceRecord",

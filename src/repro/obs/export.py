@@ -24,7 +24,7 @@ import json
 import pathlib
 from typing import Dict, Iterator, List, Optional
 
-from repro.obs.span import INSTANT_STAGES, SpanTracer, TraceRecord
+from repro.obs.span import INSTANT_STAGES, SpanTracer
 
 #: Fixed thread ids of the non-path tracks.
 TID_CONTROL = 0
@@ -42,15 +42,15 @@ _TRACK_NAMES = {
 }
 
 
-def _span_tid(rec: TraceRecord) -> int:
-    if rec.stage == "nic_ring":
+def _span_tid(stage: str, extra) -> int:
+    if stage == "nic_ring":
         return TID_NIC
-    if rec.stage == "reorder_buffer":
+    if stage == "reorder_buffer":
         return TID_REORDER
-    if rec.stage == "sink":
+    if stage == "sink":
         return TID_SINK
-    if isinstance(rec.extra, int) and rec.extra >= 0:
-        return TID_PATH_BASE + rec.extra
+    if isinstance(extra, int) and extra >= 0:
+        return TID_PATH_BASE + extra
     return TID_CONTROL
 
 
@@ -74,20 +74,20 @@ def to_chrome_trace(telemetry) -> Dict:
     events: List[Dict] = []
     tids = set()
 
-    for rec in telemetry.tracer.records:
-        tid = _span_tid(rec)
+    for t, stage, packet, dt, extra in telemetry.tracer.spans():
+        tid = _span_tid(stage, extra)
         tids.add(tid)
-        if rec.stage in INSTANT_STAGES:
-            args = {"packet": rec.packet_id}
-            if isinstance(rec.extra, dict):
-                args.update(rec.extra)
-            events.append({"name": rec.stage, "ph": "i", "pid": 0,
-                           "tid": tid, "ts": rec.time, "s": "t",
+        if stage in INSTANT_STAGES:
+            args = {"packet": packet}
+            if isinstance(extra, dict):
+                args.update(extra)
+            events.append({"name": stage, "ph": "i", "pid": 0,
+                           "tid": tid, "ts": t, "s": "t",
                            "args": args})
         else:
-            events.append({"name": rec.stage, "ph": "X", "pid": 0, "tid": tid,
-                           "ts": rec.start, "dur": rec.dt,
-                           "args": {"packet": rec.packet_id}})
+            events.append({"name": stage, "ph": "X", "pid": 0, "tid": tid,
+                           "ts": t - dt, "dur": dt,
+                           "args": {"packet": packet}})
 
     # Forensics annotations: one instant per attributed exemplar at its
     # delivery time, so the cause labels land next to the slow packets
@@ -182,10 +182,10 @@ def write_chrome_trace(telemetry, path) -> Dict:
 # ----------------------------------------------------------------------
 def jsonl_lines(telemetry) -> Iterator[str]:
     """Yield the bundle as JSONL lines (spans, instants, metric points)."""
-    for rec in telemetry.tracer.records:
-        yield json.dumps({"kind": "span", "ts": rec.time, "stage": rec.stage,
-                          "packet": rec.packet_id, "dt": rec.dt,
-                          "track": rec.extra}, sort_keys=True)
+    for t, stage, packet, dt, extra in telemetry.tracer.spans():
+        yield json.dumps({"kind": "span", "ts": t, "stage": stage,
+                          "packet": packet, "dt": dt,
+                          "track": extra}, sort_keys=True)
     for ev in telemetry.events:
         yield json.dumps({"kind": "instant", "ts": ev.time, "name": ev.name,
                           "track": ev.track, "args": ev.args}, sort_keys=True)

@@ -204,25 +204,21 @@ def attribute_tail(result, spec: Optional[ForensicsSpec] = None) -> Dict:
     # Delivered packets: pids with a sink instant past warmup.  Dropped
     # packets and suppressed replica copies never reach the sink, so
     # they are joined as *evidence*, not analyzed as tail members.
-    sink_time: Dict[int, float] = {}
-    replicate_groups: Dict[int, Dict] = {}
-    for rec in tracer.records:
-        if rec.stage == "sink":
-            if rec.time >= warmup:
-                sink_time[rec.packet_id] = rec.time
-        elif rec.stage == "replicate" and isinstance(rec.extra, dict):
-            replicate_groups[rec.packet_id] = rec.extra
+    cols = tracer.columns()
+    sink = (cols.stage == cols.code("sink")) & (cols.time >= warmup)
+    sink_time: Dict[int, float] = dict(zip(
+        cols.packet_id[sink].tolist(), cols.time[sink].tolist()))
+    #: primary pid -> its clone pids.
+    replicate_groups = tracer.replicate_copies()
     #: copy pid -> primary pid (primaries map to themselves).
     copy_to_primary: Dict[int, int] = {}
-    for primary, info in replicate_groups.items():
+    for primary, copies in replicate_groups.items():
         copy_to_primary[primary] = primary
-        for cp in info.get("copies", ()):
+        for cp in copies:
             copy_to_primary[cp] = primary
 
-    totals: List[Tuple[int, float]] = []
-    for pid in sorted(sink_time):
-        total = tracer.packet_total(pid)
-        totals.append((pid, total))
+    totals: List[Tuple[int, float]] = list(
+        tracer.leaf_totals(sorted(sink_time)).items())
 
     windows = fault_windows(
         (result.availability or {}).get("timeline"), result.sim_time
@@ -259,7 +255,7 @@ def attribute_tail(result, spec: Optional[ForensicsSpec] = None) -> Dict:
 
     for rank, (pid, total) in enumerate(analyzed):
         verdict = _attribute_one(
-            tracer, pid, total, sink_time[pid], windows,
+            tracer, cols, pid, total, sink_time[pid], windows,
             replicate_groups, copy_to_primary, sink_time, spec,
         )
         cause = verdict["cause"]
@@ -270,7 +266,7 @@ def attribute_tail(result, spec: Optional[ForensicsSpec] = None) -> Dict:
         blame[cause][lane] = blame[cause].get(lane, 0) + 1
         if rank < spec.top_k:
             exemplars.append(_exemplar(
-                tracer, pid, total, verdict, series,
+                tracer, cols, pid, total, verdict, series,
             ))
 
     report.update({
@@ -289,7 +285,19 @@ def attribute_tail(result, spec: Optional[ForensicsSpec] = None) -> Dict:
     return report
 
 
-def _attribute_one(tracer, pid: int, total: float, t_sink: float,
+def _packet_spans(tracer, cols, pid: int) -> List[Tuple]:
+    """One packet's ``(start, time, stage, dt, extra)`` spans, read off
+    the columns in record order."""
+    rows = tracer.rows(pid)
+    times = cols.time[rows].tolist()
+    dts = cols.dt[rows].tolist()
+    names = cols.stages
+    return [(t - dt, t, names[code], dt, tracer.extra_at(row))
+            for row, t, code, dt in zip(rows.tolist(), times,
+                                        cols.stage[rows].tolist(), dts)]
+
+
+def _attribute_one(tracer, cols, pid: int, total: float, t_sink: float,
                    windows, replicate_groups, copy_to_primary,
                    sink_time, spec: ForensicsSpec) -> Dict:
     """Assign one packet's dominant cause.
@@ -305,25 +313,24 @@ def _attribute_one(tracer, pid: int, total: float, t_sink: float,
        of the end-to-end latency (:data:`STAGE_TO_CAUSE`);
     4. ``mixed`` otherwise.
     """
-    recs = tracer.per_packet(pid)
     stage_sums: Dict[str, float] = {}
     stage_path: Dict[str, Tuple[float, Any]] = {}
     paths: set = set()
     t0 = t_sink
     saw_nic = False
-    for rec in recs:
-        if rec.stage not in STAGE_TO_CAUSE:
+    for start, _, stage, dt, extra in _packet_spans(tracer, cols, pid):
+        if stage not in STAGE_TO_CAUSE:
             continue
-        stage_sums[rec.stage] = stage_sums.get(rec.stage, 0.0) + rec.dt
-        best = stage_path.get(rec.stage)
-        if best is None or rec.dt > best[0]:
-            stage_path[rec.stage] = (rec.dt, rec.extra)
-        if isinstance(rec.extra, int) and rec.extra >= 0:
-            paths.add(rec.extra)
-        if rec.stage == "nic_ring":
+        stage_sums[stage] = stage_sums.get(stage, 0.0) + dt
+        best = stage_path.get(stage)
+        if best is None or dt > best[0]:
+            stage_path[stage] = (dt, extra)
+        if isinstance(extra, int) and extra >= 0:
+            paths.add(extra)
+        if stage == "nic_ring":
             saw_nic = True
-        if rec.start < t0:
-            t0 = rec.start
+        if start < t0:
+            t0 = start
 
     dominant = None
     if stage_sums:
@@ -336,11 +343,12 @@ def _attribute_one(tracer, pid: int, total: float, t_sink: float,
     lost_siblings: List[int] = []
     primary = copy_to_primary.get(pid)
     if primary is not None:
-        group = [primary] + list(replicate_groups[primary].get("copies", ()))
+        group = [primary] + list(replicate_groups[primary])
         for sibling in group:
             if sibling == pid or sibling in sink_time:
                 continue
-            sib_stages = {r.stage for r in tracer.per_packet(sibling)}
+            sib_stages = {cols.stages[code] for code in
+                          cols.stage[tracer.rows(sibling)].tolist()}
             # A suppressed copy completed its chain (it has an
             # nf_service span); a copy with none died in the data plane.
             if "nf_service" not in sib_stages and "sink" not in sib_stages:
@@ -388,17 +396,18 @@ def _dominant_lane(dominant, stage_path, paths) -> str:
     return "host"
 
 
-def _exemplar(tracer, pid: int, total: float, verdict: Dict,
+def _exemplar(tracer, cols, pid: int, total: float, verdict: Dict,
               series) -> Dict:
     """One annotated timeline for the report's exemplar list."""
-    recs = sorted(tracer.per_packet(pid), key=lambda r: (r.start, r.time))
+    spans = sorted(_packet_spans(tracer, cols, pid),
+                   key=lambda span: (span[0], span[1]))
     timeline = []
-    for rec in recs:
-        if rec.stage == "replicate":
+    for start, _, stage, dt, extra in spans:
+        if stage == "replicate":
             continue
-        entry = {"t_start": rec.start, "stage": rec.stage, "dt": rec.dt}
-        if isinstance(rec.extra, int) and rec.extra >= 0:
-            entry["path"] = rec.extra
+        entry = {"t_start": start, "stage": stage, "dt": dt}
+        if isinstance(extra, int) and extra >= 0:
+            entry["path"] = extra
         timeline.append(entry)
     # Queue-depth evidence: what did the chosen path's queue look like
     # when this packet entered it?  (Nearest gauge sample at or before
@@ -406,10 +415,9 @@ def _exemplar(tracer, pid: int, total: float, verdict: Dict,
     depth = None
     vq = verdict["stage_sums"].get("vswitch_queue")
     if vq is not None:
-        for rec in recs:
-            if rec.stage == "vswitch_queue" and isinstance(rec.extra, int):
-                depth = _depth_at(series.get(f"path{rec.extra}.depth"),
-                                  rec.start)
+        for start, _, stage, _, extra in spans:
+            if stage == "vswitch_queue" and isinstance(extra, int):
+                depth = _depth_at(series.get(f"path{extra}.depth"), start)
                 break
     return {
         "packet": pid,

@@ -25,17 +25,12 @@ def stage_breakdown(tracer, warmup: float = 0.0) -> Dict[str, Dict[str, float]]:
     ``warmup`` discards records whose completion time predates it (same
     steady-state convention as the latency recorder).
     """
-    grouped: Dict[str, List[float]] = {stage: [] for stage in LEAF_STAGES}
-    for rec in tracer.records:
-        if rec.time < warmup:
-            continue
-        if rec.stage in grouped:
-            grouped[rec.stage].append(rec.dt)
+    cols = tracer.columns()
+    kept = ~(cols.time < warmup)
     out: Dict[str, Dict[str, float]] = {}
     for stage in LEAF_STAGES:
-        values = grouped[stage]
-        if values:
-            arr = np.asarray(values, dtype=np.float64)
+        arr = cols.dt[kept & (cols.stage == cols.code(stage))]
+        if arr.size:
             out[stage] = {
                 "count": float(arr.size),
                 "mean": float(arr.mean()),
@@ -75,14 +70,16 @@ def packet_totals(tracer, warmup: float = 0.0) -> List[Tuple[int, float]]:
     A packet's leaf total is its end-to-end latency as seen by the spans
     (see :data:`~repro.obs.span.LEAF_STAGES`).
     """
-    out = []
-    for pid in tracer.packet_ids():
-        recs = tracer.per_packet(pid)
-        if warmup and recs and recs[-1].time < warmup:
-            continue
-        total = sum(r.dt for r in recs if r.stage in LEAF_STAGES)
-        out.append((pid, total))
-    return out
+    totals = tracer.leaf_totals()
+    if warmup:
+        # Drop packets whose last record completed before warmup.
+        cols = tracer.columns()
+        pids = cols.packet_id[::-1]
+        _, last = np.unique(pids, return_index=True)
+        early = set(pids[last[cols.time[::-1][last] < warmup]].tolist())
+        return [(pid, total) for pid, total in totals.items()
+                if pid not in early]
+    return list(totals.items())
 
 
 def slowest_packets(tracer, k: int = 3,

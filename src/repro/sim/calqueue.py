@@ -152,13 +152,13 @@ class CalendarQueue:
 
         This is the hot loop of the calendar backend: the bucket array,
         index math, and dispatch plumbing are hoisted into locals once
-        per bucket visit, and the entry count is reconciled per bucket
-        rather than per event.  ``sim._now`` and ``sim._processed`` are
-        kept exact (including when a callback raises ``StopSimulation``).
+        per bucket visit.  The entry count drops before each callback
+        runs, so ``len()`` read inside a callback is exact, as it is on
+        the heap backend.  ``sim._now`` and ``sim._processed`` are kept
+        exact (including when a callback raises ``StopSimulation``).
         ``until`` may be ``inf`` to run the schedule dry.
         """
         n = 0
-        counted = 0
         pop = heappop
         try:
             while self._count:
@@ -196,6 +196,7 @@ class CalendarQueue:
                                 return
                             break  # bucket exhausted for this visit
                         pop(b)
+                        self._count -= 1
                         sim._now = t
                         n += 1
                         fn = e[2]
@@ -204,8 +205,6 @@ class CalendarQueue:
                         else:
                             fn(*e[3])
                     if n != before:
-                        self._count -= n - before
-                        counted = n
                         if not self._count:
                             return
                         if self._count > self._hi or self._count < self._lo:
@@ -227,7 +226,6 @@ class CalendarQueue:
                             continue
                     v += 1
         finally:
-            self._count -= n - counted
             self._vcur = int(sim._now * self._inv)
             sim._processed += n
 

@@ -206,16 +206,15 @@ class SloTracker:
         if telemetry is None:
             return
         tracer = telemetry.tracer
-        spans = bool(getattr(tracer, "enabled", False)) and len(
-            getattr(tracer, "records", ())
-        ) > 0
+        spans = (bool(getattr(tracer, "enabled", False)) and len(tracer) > 0
+                 and not all(w["ok"] for w in self.windows))
         deliveries: List = []
         if spans:
-            deliveries = [
-                (rec.time, rec.packet_id)
-                for rec in tracer.records
-                if rec.stage == "sink"
-            ]
+            cols = tracer.columns()
+            sink = cols.stage == cols.code("sink")
+            deliveries = list(zip(cols.time[sink].tolist(),
+                                  cols.packet_id[sink].tolist()))
+            totals = tracer.leaf_totals()
         for w in self.windows:
             if w["ok"]:
                 continue
@@ -226,7 +225,7 @@ class SloTracker:
             }
             if spans:
                 stage, share, n_pkts = self._attribute(
-                    tracer, deliveries, w
+                    tracer, cols, totals, deliveries, w
                 )
                 if stage is not None:
                     args["dominant_stage"] = stage
@@ -235,7 +234,7 @@ class SloTracker:
             telemetry.instant(w["end"], "slo:violation", track="slo",
                               args=args)
 
-    def _attribute(self, tracer, deliveries, window):
+    def _attribute(self, tracer, cols, totals, deliveries, window):
         """(dominant leaf stage, its share of time, packets considered)."""
         violated = {
             o.metric: o.threshold
@@ -244,23 +243,26 @@ class SloTracker:
         }
         threshold = min(violated.values()) if violated else None
         start, end = window["start"], window["end"]
-        totals = {stage: 0.0 for stage in LEAF_STAGES}
+        by_stage = {stage: 0.0 for stage in LEAF_STAGES}
         n_pkts = 0
         for t, pid in deliveries:
             if not start <= t < end:
                 continue
-            if threshold is not None and tracer.packet_total(pid) <= threshold:
+            if threshold is not None and totals[pid] <= threshold:
                 continue
             n_pkts += 1
-            for rec in tracer.per_packet(pid):
-                if rec.stage in totals:
-                    totals[rec.stage] += rec.dt
-        grand = sum(totals.values())
+            rows = tracer.rows(pid)
+            for code, dt in zip(cols.stage[rows].tolist(),
+                                cols.dt[rows].tolist()):
+                stage = cols.stages[code]
+                if stage in by_stage:
+                    by_stage[stage] += dt
+        grand = sum(by_stage.values())
         if n_pkts == 0 or grand <= 0:
             return None, 0.0, 0
         # Deterministic tie-break: stage order in LEAF_STAGES.
-        stage = max(LEAF_STAGES, key=lambda s: totals[s])
-        return stage, totals[stage] / grand, n_pkts
+        stage = max(LEAF_STAGES, key=lambda s: by_stage[s])
+        return stage, by_stage[stage] / grand, n_pkts
 
 
 #: Reverse map quantile fraction -> metric name for window records.

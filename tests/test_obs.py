@@ -11,11 +11,14 @@ bit-identical with telemetry on or off.
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench.scenarios import ScenarioConfig, run_scenario
 from repro.faults import FaultSchedule
 from repro.metrics.collectors import Counter
 from repro.obs import (
+    ALL_STAGES,
     LEAF_STAGES,
     Histogram,
     MetricsRegistry,
@@ -23,6 +26,7 @@ from repro.obs import (
     NullTracer,
     SpanTracer,
     Telemetry,
+    TraceRecord,
     breakdown_table,
     load_spans,
     percentile_packet,
@@ -99,6 +103,124 @@ class TestSpanTracer:
         assert isinstance(t, SpanTracer)
         assert t.stage_totals() == {"vswitch_queue": 2.0}
         assert N2 is NullTracer
+
+
+class _ListTracer:
+    """Reference tracer: the plain list-of-TraceRecord store that the
+    columnar :class:`SpanTracer` must be observationally equal to."""
+
+    def __init__(self):
+        self.records = []
+
+    def record(self, time, stage, packet_id, dt, extra=None):
+        self.records.append(TraceRecord(time, stage, packet_id, dt, extra))
+
+    def per_packet(self, pid):
+        return [r for r in self.records if r.packet_id == pid]
+
+    def packet_ids(self):
+        return list(dict.fromkeys(r.packet_id for r in self.records))
+
+    def packet_total(self, pid):
+        recs = self.per_packet(pid)
+        if not recs:
+            return 0.0
+        return sum(r.dt for r in recs if r.stage in LEAF_STAGES)
+
+    def by_stage(self):
+        out = {}
+        for r in self.records:
+            out.setdefault(r.stage, []).append(r.dt)
+        return out
+
+    def stage_totals(self):
+        out = {}
+        for r in self.records:
+            out[r.stage] = out.get(r.stage, 0.0) + r.dt
+        return out
+
+
+_record_args = st.tuples(
+    st.one_of(st.floats(-1e6, 1e6, allow_nan=False),
+              st.integers(0, 10**6)),                       # time
+    st.sampled_from(ALL_STAGES + ("custom",)),              # stage
+    st.integers(0, 7),                                      # packet id
+    st.one_of(st.floats(-1e16, 1e16, allow_nan=False),
+              st.sampled_from([1e16, 1.0, -1e16, 0.1])),    # dt
+    st.one_of(st.none(), st.integers(0, 9), st.integers(-3, -1),
+              st.text(max_size=3),
+              st.fixed_dictionaries({
+                  "copies": st.lists(st.integers(0, 99), max_size=3),
+                  "paths": st.lists(st.integers(0, 3), max_size=3)}),
+              st.fixed_dictionaries({"copies": st.lists(st.integers())})),
+)
+
+
+def _assert_same(tracer, ref):
+    assert tracer.records == ref.records
+    assert list(tracer.spans()) == [tuple(r) for r in ref.records]
+    assert [type(r.time) for r in tracer.records] == \
+        [type(r.time) for r in ref.records]
+    assert len(tracer) == len(ref.records)
+    assert tracer.packet_ids() == ref.packet_ids()
+    for pid in ref.packet_ids() + [12345]:
+        assert tracer.per_packet(pid) == ref.per_packet(pid)
+        # Bit-exact: the same builtin sum() over the same leaf dts.
+        assert repr(tracer.packet_total(pid)) == repr(ref.packet_total(pid))
+    totals = tracer.leaf_totals()
+    assert list(totals) == ref.packet_ids()
+    assert [repr(v) for v in totals.values()] == \
+        [repr(ref.packet_total(pid)) for pid in ref.packet_ids()]
+    assert list(tracer.by_stage().items()) == list(ref.by_stage().items())
+    assert list(tracer.stage_totals().items()) == \
+        list(ref.stage_totals().items())
+
+
+class TestColumnarTracerProperties:
+    @given(st.lists(_record_args, max_size=60))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_list_reference(self, stream):
+        tracer, ref = SpanTracer(), _ListTracer()
+        for args in stream:
+            tracer.record(*args)
+            ref.record(*args)
+        _assert_same(tracer, ref)
+
+    @given(st.lists(_record_args, min_size=1, max_size=30),
+           st.lists(_record_args, max_size=30))
+    @settings(max_examples=50, deadline=None)
+    def test_index_rebuilds_after_more_records(self, first, second):
+        tracer, ref = SpanTracer(), _ListTracer()
+        for args in first:
+            tracer.record(*args)
+            ref.record(*args)
+        _assert_same(tracer, ref)
+        for args in second:
+            tracer.record(*args)
+            ref.record(*args)
+        _assert_same(tracer, ref)
+
+    def test_adversarial_leaf_sum_is_builtin_sum(self):
+        # 3.12's sum() is compensated (gives 1.0 here); earlier versions
+        # and a naive or pairwise numpy reduction give 0.0.
+        tracer = SpanTracer()
+        for dt, stage in zip((1e16, 1.0, -1e16),
+                             ("vswitch_queue", "nf_service", "sched_stall")):
+            tracer.record(2e16, stage, 3, dt, 1)
+        tracer.record(5.0, "sink", 4, 0.0)
+        expected = sum([1e16, 1.0, -1e16])
+        assert repr(tracer.packet_total(3)) == repr(expected)
+        assert repr(tracer.leaf_totals()[3]) == repr(expected)
+        assert tracer.packet_total(4) == 0
+        assert tracer.leaf_totals([4, 3, 99]) == {4: 0, 3: expected, 99: 0.0}
+
+    def test_replicate_dict_round_trips(self):
+        tracer = SpanTracer()
+        extra = {"copies": [11, 12], "paths": [0, 2, 3]}
+        tracer.record(1.0, "replicate", 10, 0.0, extra)
+        got = tracer.per_packet(10)[0].extra
+        assert got == extra and got is not extra
+        assert tracer.replicate_copies() == {10: (11, 12)}
 
 
 # ----------------------------------------------------------------------
@@ -193,18 +315,34 @@ class TestTelemetryParity:
         assert _result_json(off) == _result_json(on)
         assert on.telemetry is not None and off.telemetry is None
 
-    def test_fault_scenario_bit_identical(self):
-        sched = FaultSchedule().crash(1, at=4_000.0, duration=3_000.0)
-        off = run_scenario(ScenarioConfig(faults=sched, **self.CFG))
-        sched2 = FaultSchedule().crash(1, at=4_000.0, duration=3_000.0)
+    @pytest.mark.parametrize("kind", ["crash", "degrade"])
+    def test_fault_scenario_bit_identical(self, kind):
+        def sched():
+            if kind == "crash":
+                return FaultSchedule().crash(1, at=4_000.0, duration=3_000.0)
+            return FaultSchedule().degrade(1, at=4_000.0, duration=3_000.0,
+                                           factor=4.0)
+
+        off = run_scenario(ScenarioConfig(faults=sched(), **self.CFG))
         tel = Telemetry()
-        on = run_scenario(ScenarioConfig(faults=sched2, **self.CFG),
-                      telemetry=tel)
+        on = run_scenario(ScenarioConfig(faults=sched(), **self.CFG),
+                          telemetry=tel)
         assert _result_json(off) == _result_json(on)
         names = {e.name for e in tel.events}
-        assert "fault:arm:crash" in names
-        assert "fault:clear:crash" in names
-        assert "path:eject" in names
+        assert f"fault:arm:{kind}" in names
+        assert f"fault:clear:{kind}" in names
+        if kind == "crash":
+            assert "path:eject" in names
+        else:
+            # The traced service loop applies the degrade factor too.
+            cols = tel.tracer.columns()
+            on_path = (cols.stage == cols.code("nf_service")) & \
+                (cols.extra == 1)
+            start = cols.time - cols.dt
+            inside = on_path & (start >= 4_000.0) & (cols.time <= 7_000.0)
+            outside = on_path & ((cols.time < 4_000.0) | (start > 7_000.0))
+            assert inside.any() and outside.any()
+            assert cols.dt[inside].mean() > 2.0 * cols.dt[outside].mean()
 
     def test_metrics_off_spans_off_still_identical(self):
         off = run_scenario(ScenarioConfig(**self.CFG))

@@ -13,6 +13,7 @@ compaction, pooled-timeout recycling).
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -174,6 +175,49 @@ class TestEngineBehavior:
         handles[0].cancel()
         assert set(fired) == {0}
         assert handles[0].fired == 5
+
+
+class TestPendingCount:
+    """``pending_count`` read from inside a callback is exact on both
+    backends (the calendar drain once reconciled it per bucket visit)."""
+
+    @staticmethod
+    def _reads(scheduler, schedule):
+        sim = Simulator(scheduler=scheduler)
+        reads = []
+        schedule(sim, reads)
+        sim.run()
+        return reads
+
+    @staticmethod
+    def _same_time(sim, reads):
+        for _ in range(1000):
+            sim.call_at(5.0, lambda: reads.append(sim.pending_count))
+
+    @staticmethod
+    def _mixed(sim, reads):
+        rng = random.Random(7)
+
+        def fire(depth):
+            reads.append(sim.pending_count)
+            if depth:
+                for _ in range(rng.randint(0, 2)):
+                    sim.call_in(rng.choice([0.0, rng.random() * 50.0]),
+                                fire, depth - 1)
+
+        for _ in range(300):
+            sim.call_at(rng.random() * 100.0, fire, 3,
+                        priority=rng.choice([URGENT, NORMAL, LOW]))
+
+    def test_same_time_burst_counts_down(self):
+        assert self._reads("heap", self._same_time) == list(range(999, -1, -1))
+        assert self._reads("calendar", self._same_time) == \
+            list(range(999, -1, -1))
+
+    def test_identical_across_backends_with_pushes(self):
+        heap = self._reads("heap", self._mixed)
+        assert len(heap) > 300
+        assert self._reads("calendar", self._mixed) == heap
 
 
 # ----------------------------------------------------------------------
