@@ -130,16 +130,10 @@ from repro.cluster import (
     run_cluster,
 )
 
-__version__ = "2.0.0"
-
-#: Legacy-kwarg deprecation fired already?  Module-level so sweeps and
-#: loops hitting the shim thousands of times warn exactly once per
-#: process (same contract as repro.bench.scenarios._simulate_warned).
-_run_kwargs_warned = False
+__version__ = "3.0.0"
 
 
-def run(config=None, options=None, *, telemetry=None, faults=None,
-        slo=None, **overrides):
+def run(config=None, options=None, **overrides):
     """Run one experiment and return its :class:`SimulationResult`.
 
     The unified single-scenario entry point: every example, figure and
@@ -174,8 +168,6 @@ def run(config=None, options=None, *, telemetry=None, faults=None,
       post-run tail attribution; the result gains a ``forensics_report``
       (see docs/FORENSICS.md).  Attaches a default :class:`Telemetry`
       when none was passed.
-    * ``options.recycle=False`` disables terminal-packet recycling (for
-      hooks that retain delivered packets).
 
     ``run`` also dispatches on the config kind: pass a
     :class:`ClusterConfig` and the rack-scale sharded engine
@@ -192,9 +184,10 @@ def run(config=None, options=None, *, telemetry=None, faults=None,
     ``options.faults``/``options.slo`` are rejected (set them on each
     host's scenario instead).
 
-    The bare keywords ``telemetry=`` / ``faults=`` / ``slo=`` are the
-    pre-1.3 spelling, kept as a deprecated shim (one warning per
-    process); new code should pass a :class:`RunOptions`.
+    Keyword overrides are :class:`ScenarioConfig` (or
+    :class:`ClusterConfig`) fields, so ``faults=``/``slo=`` set the
+    config fields of those names and ``telemetry=`` is a ``TypeError``:
+    telemetry is a run option, not part of the scenario.
 
     The config is validated up front (:meth:`ScenarioConfig.validate` /
     :meth:`ClusterConfig.validate`), so unknown policy/chain/traffic
@@ -209,16 +202,10 @@ def run(config=None, options=None, *, telemetry=None, faults=None,
         raise TypeError(
             f"run()'s second positional argument is a RunOptions, got "
             f"{type(options).__name__}; pass telemetry/faults/slo inside "
-            f"RunOptions (or, deprecated, by keyword)"
+            f"RunOptions"
         )
+    opts = options or RunOptions()
     if isinstance(config, ClusterConfig):
-        if telemetry is not None or faults is not None or slo is not None:
-            raise TypeError(
-                "the legacy telemetry=/faults=/slo= keywords do not apply "
-                "to cluster runs; pass a RunOptions (telemetry is a bundle "
-                "directory path; faults/slo belong on each host's scenario)"
-            )
-        opts = options or RunOptions()
         if opts.faults is not None or opts.slo is not None:
             raise ValueError(
                 "faults/slo options do not apply to a ClusterConfig; set "
@@ -242,25 +229,7 @@ def run(config=None, options=None, *, telemetry=None, faults=None,
                            if telemetry_dir is not None else None),
             check=opts.check_spec(),
             forensics=opts.forensics_spec(),
-            recycle=opts.recycle,
-            scheduler=opts.scheduler,
         )
-    if telemetry is not None or faults is not None or slo is not None:
-        global _run_kwargs_warned
-        if not _run_kwargs_warned:
-            _run_kwargs_warned = True
-            import warnings
-
-            warnings.warn(
-                "repro.run(telemetry=/faults=/slo=) keywords are "
-                "deprecated; pass repro.run(config, "
-                "RunOptions(telemetry=..., faults=..., slo=...)) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-    opts = (options or RunOptions()).merged_with(
-        telemetry=telemetry, faults=faults, slo=slo
-    )
     if config is None:
         config = ScenarioConfig(**overrides)
     elif overrides:
@@ -280,9 +249,8 @@ def run(config=None, options=None, *, telemetry=None, faults=None,
             )
         config = _dc.replace(config, slo=opts.slo)
     return run_scenario(config, telemetry=opts.telemetry,
-                        check=opts.check_spec(), recycle=opts.recycle,
-                        forensics=opts.forensics_spec(),
-                        scheduler=opts.scheduler)
+                        check=opts.check_spec(),
+                        forensics=opts.forensics_spec())
 
 __all__ = [
     "Simulator",

@@ -566,20 +566,14 @@ class ScenarioRuntime:
 def build_runtime(config: ScenarioConfig,
                   telemetry=None,
                   check=None,
-                  recycle: bool = True,
                   forensics=None,
-                  sink=None,
-                  scheduler=None) -> ScenarioRuntime:
+                  sink=None) -> ScenarioRuntime:
     """Build (but do not run) one scenario host; see :class:`ScenarioRuntime`.
 
     ``sink`` overrides where the traffic source delivers packets
     (default: the host's own data-plane ingress).  The cluster engine
     passes its per-host router here so flows can be steered to remote
     hosts across the fabric; single-host runs leave it ``None``.
-    ``scheduler`` picks the event-scheduler backend (``"heap"`` or
-    ``"calendar"``; ``None`` resolves via ``REPRO_SCHEDULER`` and
-    defaults to ``"calendar"``) -- backends dispatch in the exact same
-    order, so the result payload is bit-identical either way.
     """
     forensics_spec = None
     if forensics is not None and forensics is not False:
@@ -593,7 +587,7 @@ def build_runtime(config: ScenarioConfig,
             telemetry = Telemetry()
     config.validate()
     wall_start = _time.perf_counter() if telemetry is not None else 0.0
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     rngs = RngRegistry(seed=config.seed)
     tracker = FlowTracker() if config.traffic == "flows" else None
 
@@ -607,10 +601,6 @@ def build_runtime(config: ScenarioConfig,
     mpdp_kw.update(config.mpdp_overrides)
     host = MultipathDataPlane(sim, MpdpConfig(**mpdp_kw), rngs, tracker=tracker,
                               telemetry=telemetry)
-    if recycle:
-        # The harness retains no Packet objects past delivery, so
-        # terminal packets can be recycled through the factory free list.
-        host.enable_packet_recycling()
     engine = None
     if check is not None and check is not False:
         from repro.check.invariants import InvariantEngine
@@ -666,9 +656,7 @@ def build_runtime(config: ScenarioConfig,
 def run_scenario(config: ScenarioConfig,
                  telemetry=None,
                  check=None,
-                 recycle: bool = True,
-                 forensics=None,
-                 scheduler=None) -> SimulationResult:
+                 forensics=None) -> SimulationResult:
     """Run one scenario to completion and collect results.
 
     This is the engine-room entry point behind :func:`repro.run`; call
@@ -678,8 +666,7 @@ def run_scenario(config: ScenarioConfig,
     stage spans, metric snapshots and fault/control instant events are
     collected into the bundle and attached to the result.  ``check``
     (``True`` or a :class:`repro.check.CheckSpec`) arms the runtime
-    invariant engine and attaches its report; ``recycle=False`` disables
-    terminal-packet recycling.  ``forensics`` (``True`` or a
+    invariant engine and attaches its report.  ``forensics`` (``True`` or a
     :class:`~repro.obs.forensics.ForensicsSpec`) runs tail attribution
     after the run and attaches ``result.forensics_report``; it needs
     telemetry and attaches a default :class:`~repro.obs.Telemetry` when
@@ -689,8 +676,7 @@ def run_scenario(config: ScenarioConfig,
     whichever way they are set.
     """
     rt = build_runtime(config, telemetry=telemetry, check=check,
-                       recycle=recycle, forensics=forensics,
-                       scheduler=scheduler)
+                       forensics=forensics)
     rt.start()
     rt.sim.run(until=rt.horizon)
     return rt.finalize()

@@ -2,10 +2,10 @@
 
 One determinism contract underpins every artifact this library emits:
 harness toggles -- telemetry, how faults are passed, worker counts,
-packet recycling, invariant checking -- must never change *what* a
-scenario computes.  :func:`diff_scenario` enforces it by brute force:
-re-run the same scenario under each variant and diff the result payloads
-field by field.  Any drift is a bug in the harness (or a component
+invariant checking -- must never change *what* a scenario computes.
+:func:`diff_scenario` enforces it by brute force: re-run the same
+scenario under each variant and diff the result payloads field by
+field.  Any drift is a bug in the harness (or a component
 secretly keying behaviour off an observation hook), and the per-leaf
 diff names exactly which field moved.
 
@@ -14,10 +14,7 @@ Variants exercised (each skipped with a reason when not applicable):
 ``telemetry``     full observability bundle attached vs bare.
 ``faults_kwarg``  fault schedule passed per-invocation (``RunOptions``)
                   vs embedded in the config (fault scenarios only).
-``recycle_off``   terminal-packet recycling disabled vs enabled.
 ``check_armed``   invariant engine armed vs detached.
-``scheduler``     the non-default event-scheduler backend (heap vs
-                  calendar) replaying the base run.
 ``jobs``          a 2-cell sweep run with ``jobs=1`` vs ``jobs=2``
                   (fork pool), compared cell by cell, cache bypassed.
 """
@@ -28,6 +25,9 @@ import math
 from typing import Dict, List, Optional
 
 from repro.bench.scenarios import ScenarioConfig, run_scenario
+
+#: Variant names, in run order (also the CLI's ``--variant`` choices).
+VARIANTS = ("telemetry", "faults_kwarg", "check_armed", "jobs")
 
 #: Cap on recorded leaf diffs per variant (the first one names the bug).
 MAX_DIFFS = 20
@@ -97,19 +97,25 @@ def diff_scenario(config: ScenarioConfig,
     Returns a ``diff_report`` payload; ``all_identical`` is the
     headline, per-variant entries carry ``identical`` plus the leaf
     diffs when drift was found.  ``variants`` restricts the run to a
-    subset of variant names (default: all applicable).
+    subset of :data:`VARIANTS` (default: all applicable).
     """
     import dataclasses as _dc
 
     from repro import schemas
 
     config.validate()
-    wanted = None if variants is None else set(variants)
+    wanted = set(VARIANTS if variants is None else variants)
+    unknown = wanted - set(VARIANTS)
+    if unknown:
+        raise ValueError(
+            f"unknown diff variant(s) {sorted(unknown)}; "
+            f"choose from {VARIANTS}"
+        )
     report: Dict[str, Dict] = {}
     skipped: Dict[str, str] = {}
 
     def want(name: str) -> bool:
-        return wanted is None or name in wanted
+        return name in wanted
 
     base = _identity(run_scenario(config))
 
@@ -132,18 +138,8 @@ def diff_scenario(config: ScenarioConfig,
             bare = _dc.replace(config, faults=None)
             result = repro.run(bare, repro.RunOptions(faults=config.faults))
             compare("faults_kwarg", _identity(result))
-    if want("recycle_off"):
-        compare("recycle_off", _identity(run_scenario(config, recycle=False)))
     if want("check_armed"):
         compare("check_armed", _identity(run_scenario(config, check=True)))
-    if want("scheduler"):
-        # The non-default backend must replay the base payload exactly
-        # (the base run used the resolved default, normally calendar).
-        from repro.sim.engine import default_scheduler
-
-        other = "heap" if default_scheduler() == "calendar" else "calendar"
-        compare("scheduler",
-                _identity(run_scenario(config, scheduler=other)))
     if want("jobs"):
         jobs = max(2, jobs)
         serial = _sweep_identity(config, jobs=1)

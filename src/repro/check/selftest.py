@@ -39,10 +39,7 @@ SELFTEST_CONFIG = dict(
 
 def _armed_run(config: ScenarioConfig):
     engine = InvariantEngine(CheckSpec(sample_interval=250.0))
-    # Recycling stays off: the broken-dedup variant double-frees packets
-    # (both copies reach the sink), which would alias pool entries.
-    result = run_scenario(config, check=engine, recycle=False)
-    return result
+    return run_scenario(config, check=engine)
 
 
 def mutation_selftest(seed: int = 42) -> Dict:

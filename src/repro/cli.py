@@ -1135,16 +1135,12 @@ def _cmd_check_selftest(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.check.diff import VARIANTS as DIFF_VARIANTS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Multipath intra-host data plane (CLUSTER'22 reproduction)",
     )
-    parser.add_argument("--scheduler", choices=("heap", "calendar"),
-                        default=None,
-                        help="event-scheduler backend for every simulator "
-                             "this command builds (default: REPRO_SCHEDULER "
-                             "env var, else calendar); results are "
-                             "bit-identical either way")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("experiments", help="list reconstructed experiments"
@@ -1448,8 +1444,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "(default 2)")
     p_cd.add_argument("--variant", action="append", default=[],
                       dest="variants",
-                      choices=["telemetry", "faults_kwarg", "recycle_off",
-                               "check_armed", "jobs"],
+                      choices=DIFF_VARIANTS,
                       help="restrict to specific variants (repeatable; "
                            "default: all applicable)")
     p_cd.add_argument("--out", default=None,
@@ -1549,10 +1544,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "scheduler", None):
-        # Environment (not a plumbed kwarg) so sweep/cluster worker
-        # processes inherit the backend too.
-        os.environ["REPRO_SCHEDULER"] = args.scheduler
     return args.func(args)
 
 

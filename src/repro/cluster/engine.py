@@ -83,8 +83,8 @@ class _Shard:
     """One shard: a set of host logical processes in one OS process."""
 
     def __init__(self, cluster: ClusterConfig, host_ids: Sequence[int],
-                 *, telemetry: bool = False, check=None, forensics=None,
-                 recycle: bool = True, scheduler=None) -> None:
+                 *, telemetry: bool = False, check=None,
+                 forensics=None) -> None:
         self.cluster = cluster
         self.host_ids = list(host_ids)
         self.telemetry = telemetry
@@ -106,8 +106,7 @@ class _Shard:
 
                 tel = Telemetry()
             rt = build_runtime(scen, telemetry=tel, check=check,
-                               recycle=recycle, forensics=forensics,
-                               sink=router, scheduler=scheduler)
+                               forensics=forensics, sink=router)
             router.bind(rt)
             rt.start()
             self.runtimes[hid] = rt
@@ -160,9 +159,7 @@ def _worker_main(conn, cluster_dict: Dict, host_ids: List[int],
         shard = _Shard(ClusterConfig.from_dict(cluster_dict), host_ids,
                        telemetry=opts.get("telemetry", False),
                        check=opts.get("check"),
-                       forensics=opts.get("forensics"),
-                       recycle=opts.get("recycle", True),
-                       scheduler=opts.get("scheduler"))
+                       forensics=opts.get("forensics"))
         while True:
             msg = conn.recv()
             tag = msg[0]
@@ -194,9 +191,7 @@ def run_cluster(config: ClusterConfig,
                 *,
                 telemetry_dir: Optional[str] = None,
                 check=None,
-                forensics=None,
-                recycle: bool = True,
-                scheduler: Optional[str] = None) -> ClusterResult:
+                forensics=None) -> ClusterResult:
     """Run a cluster scenario across a sharded worker pool.
 
     Parameters
@@ -218,11 +213,6 @@ def run_cluster(config: ClusterConfig,
     forensics:
         Arm per-host tail attribution (``True`` or a ``ForensicsSpec``);
         reports land in each host's payload (and bundle).
-    scheduler:
-        Event-scheduler backend for every shard engine (``"heap"`` or
-        ``"calendar"``; ``None`` resolves via ``REPRO_SCHEDULER``).
-        Backends dispatch in the same total order, so the serialized
-        cluster payload is bit-identical either way.
 
     Returns
     -------
@@ -237,13 +227,11 @@ def run_cluster(config: ClusterConfig,
     workers = resolve_workers(workers, n_hosts)
     shards = partition_hosts(n_hosts, workers)
     opts = {"telemetry": telemetry_dir is not None, "check": check,
-            "forensics": forensics, "recycle": recycle,
-            "scheduler": scheduler}
+            "forensics": forensics}
 
     if len(shards) == 1:
         shard = _Shard(config, shards[0], telemetry=opts["telemetry"],
-                       check=check, forensics=forensics, recycle=recycle,
-                       scheduler=scheduler)
+                       check=check, forensics=forensics)
         payloads = _drive_inline(config, shard, telemetry_dir)
     else:
         payloads = _drive_pool(config, shards, opts, telemetry_dir)

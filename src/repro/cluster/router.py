@@ -102,9 +102,6 @@ class ClusterRouter:
         self._env_seq += 1
         self.sent[dst] = self.sent.get(dst, 0) + 1
         self.outgoing.append(env)
-        # The packet object never leaves this process; the envelope
-        # carries everything, so the carcass can feed the local pool.
-        self.factory.recycle(pkt)
 
     def _assign_dst(self) -> int:
         if self.pattern == "incast":

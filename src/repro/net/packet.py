@@ -153,39 +153,20 @@ class Packet:
         )
 
 
-#: Maximum packets parked on a factory's free list (bounds pool memory).
-POOL_MAX = 4096
-
-
 class PacketFactory:
     """Allocates packets with unique, monotonically increasing pids.
 
     One factory per simulation keeps pid allocation centralized so that
     replicas (allocated by the core replicator) never collide with source
     packets.
-
-    The factory also owns a bounded **free list** (``free``): terminal
-    components (sink, suppression, drop accounting) may park dead packets
-    there and sources reuse them instead of allocating.  Reused packets
-    get a fresh pid and fully reset fields, so pooling is invisible to
-    everything that handles packets by value.  Recycling is opt-in wiring
-    (see ``MultipathDataPlane.enable_packet_recycling``): components that
-    never recycle see an always-empty list and plain allocation.
     """
 
-    __slots__ = ("_next_pid", "created", "free")
+    __slots__ = ("_next_pid", "created")
 
     def __init__(self) -> None:
         self._next_pid = 0
-        #: Total packets ever allocated (including replicas and reuses).
+        #: Total packets ever allocated (including replicas).
         self.created = 0
-        #: Free list for packet reuse (shared with recycling components).
-        self.free: list = []
-
-    def recycle(self, packet: Packet) -> None:
-        """Park a dead packet for reuse (no-op when the pool is full)."""
-        if len(self.free) < POOL_MAX:
-            self.free.append(packet)
 
     def next_pid(self) -> int:
         """Reserve and return the next unique pid."""

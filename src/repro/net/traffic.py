@@ -23,9 +23,6 @@ import numpy as np
 
 from repro.net.flow import Flow, FlowTracker
 from repro.net.packet import HEADER_BYTES, MTU, FiveTuple, Packet, PacketFactory
-
-#: Stage-timestamp placeholder for pooled packet resets.
-_NAN = Packet.NAN
 from repro.sim.engine import NORMAL, _SEQ_BITS, Simulator
 from repro.units import US_PER_S, bps_to_bytes_per_us, pps_to_iat_us
 
@@ -178,35 +175,15 @@ class _BaseSource:
         factory._next_pid = pid + 1
         factory.created += 1
         seqs = self._seq
-        free = factory.free
-        if free:
-            # Pool hit: reset every field a fresh Packet would carry.
-            pkt = free.pop()
-            pkt.pid = pid
-            pkt.ftuple = self._tuples[fi]
-            pkt.flow_id = self.flow_id_base + fi
-            pkt.seq = seqs[fi]
-            pkt.size = size
-            pkt.priority = self.priority
-            pkt.t_created = self.sim._now
-            pkt.t_nic = _NAN
-            pkt.t_enq = _NAN
-            pkt.t_deq = _NAN
-            pkt.t_done = _NAN
-            pkt.path_id = -1
-            pkt.copy_of = -1
-            pkt.dropped = None
-            pkt.meta = None
-        else:
-            pkt = Packet(
-                pid,
-                self._tuples[fi],
-                size,
-                self.sim._now,
-                self.flow_id_base + fi,
-                seqs[fi],
-                self.priority,
-            )
+        pkt = Packet(
+            pid,
+            self._tuples[fi],
+            size,
+            self.sim._now,
+            self.flow_id_base + fi,
+            seqs[fi],
+            self.priority,
+        )
         seqs[fi] += 1
         stats = self.stats
         stats.packets += 1
@@ -538,29 +515,10 @@ class FlowSource(_BaseSource):
         pid = factory._next_pid
         factory._next_pid = pid + 1
         factory.created += 1
-        free = factory.free
-        if free:
-            pkt = free.pop()
-            pkt.pid = pid
-            pkt.ftuple = flow.ftuple
-            pkt.flow_id = flow.flow_id
-            pkt.seq = seq
-            pkt.size = size
-            pkt.priority = self.priority
-            pkt.t_created = self.sim._now
-            pkt.t_nic = _NAN
-            pkt.t_enq = _NAN
-            pkt.t_deq = _NAN
-            pkt.t_done = _NAN
-            pkt.path_id = -1
-            pkt.copy_of = -1
-            pkt.dropped = None
-            pkt.meta = None
-        else:
-            pkt = Packet(
-                pid, flow.ftuple, size, self.sim._now, flow.flow_id, seq,
-                self.priority
-            )
+        pkt = Packet(
+            pid, flow.ftuple, size, self.sim._now, flow.flow_id, seq,
+            self.priority
+        )
         stats = self.stats
         stats.packets += 1
         stats.bytes += size

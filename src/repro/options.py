@@ -1,14 +1,14 @@
 """Run options: everything orthogonal to the scenario itself.
 
 :class:`RunOptions` is the v1 consolidation of the keyword arguments
-``repro.run`` accreted as subsystems grew (``telemetry=``, ``faults=``,
-``slo=``, and now checking and recycling).  The split is deliberate:
+``repro.run`` accreted as subsystems grew (telemetry, faults, SLOs,
+checking, forensics, cluster workers).  The split is deliberate:
 
 * :class:`~repro.bench.scenarios.ScenarioConfig` describes the
   *experiment* -- it serializes, sweeps, and keys result caches;
 * :class:`RunOptions` describes *this invocation* -- observations and
   harness toggles that must not change the simulated trajectory or the
-  result payload (telemetry, invariant checking, packet recycling), plus
+  result payload (telemetry, invariant checking, forensics, workers), plus
   the two config conveniences (``faults``/``slo``) that fold into the
   config before the run.
 
@@ -18,7 +18,6 @@ setting both the config field and the option is an error (ambiguous).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -57,11 +56,6 @@ class RunOptions:
         :class:`~repro.obs.Telemetry` is attached for the run.  Pure
         post-processing: the simulated trajectory is bit-identical
         armed or detached.
-    recycle:
-        Recycle terminal packets through the factory free list (the
-        default).  Disable when a custom ``sink.on_delivery`` hook
-        retains delivered ``Packet`` objects; results are bit-identical
-        either way (the differential harness enforces this).
     workers:
         Worker processes for cluster runs (``repro.run`` with a
         :class:`~repro.cluster.ClusterConfig`); ``None`` resolves via
@@ -69,16 +63,6 @@ class RunOptions:
         knob: the serialized :class:`~repro.cluster.ClusterResult` is
         bit-identical at any worker count.  Ignored for single-host
         scenario runs.
-    scheduler:
-        Event-scheduler backend for every simulator this run builds
-        (including cluster shards): ``"heap"`` or ``"calendar"``.
-        ``None`` resolves via the ``REPRO_SCHEDULER`` environment
-        variable, falling back to ``"calendar"``.  Backends dispatch in
-        the exact same total order, so results are bit-identical either
-        way (the differential harness and the golden cross-backend tests
-        enforce this) -- which is why the knob lives here and not on
-        :class:`~repro.bench.scenarios.ScenarioConfig`: it must never
-        key a cache or change a payload.
     """
 
     telemetry: Optional[object] = None
@@ -86,19 +70,7 @@ class RunOptions:
     slo: Optional[object] = None
     check: Union[bool, CheckSpec, None] = None
     forensics: Union[bool, object, None] = None
-    recycle: bool = True
     workers: Optional[int] = None
-    scheduler: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.scheduler is not None:
-            from repro.sim.engine import SCHEDULERS
-
-            if self.scheduler not in SCHEDULERS:
-                raise ValueError(
-                    f"scheduler must be one of {SCHEDULERS} (or None), "
-                    f"got {self.scheduler!r}"
-                )
 
     def forensics_spec(self):
         """Resolve ``forensics`` to a
@@ -128,18 +100,3 @@ class RunOptions:
             f"check must be None, a bool, or a CheckSpec, "
             f"got {type(self.check).__name__}"
         )
-
-    def merged_with(self, **legacy) -> "RunOptions":
-        """Fold legacy ``repro.run`` kwargs into a copy of this options
-        object; a field set in both places is an error (ambiguous)."""
-        updates = {}
-        for name, value in legacy.items():
-            if value is None:
-                continue
-            if getattr(self, name) is not None:
-                raise ValueError(
-                    f"{name} passed both as a legacy keyword and inside "
-                    f"RunOptions; set it once"
-                )
-            updates[name] = value
-        return dataclasses.replace(self, **updates) if updates else self

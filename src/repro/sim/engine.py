@@ -1,18 +1,8 @@
 """The event loop.
 
-:class:`Simulator` owns a schedule of entries managed by one of two
-pluggable backends:
-
-* ``"heap"`` -- a single binary heap (``heapq``), the classic backend;
-* ``"calendar"`` -- a Brown-style calendar queue
-  (:class:`~repro.sim.calqueue.CalendarQueue`) with O(1) steady-state
-  inserts, the default.
-
-Both backends dispatch in the **exact same total order**, so the choice
-is invisible to results: same seed => byte-identical payloads (pinned by
-``tests/test_golden_determinism.py`` and the cross-backend suite).  Pick
-with ``Simulator(scheduler=...)``, ``RunOptions(scheduler=...)``, or the
-``REPRO_SCHEDULER`` environment variable.
+:class:`Simulator` owns a schedule of entries kept in a single binary
+heap (``heapq``).  Same seed => byte-identical payloads (pinned by
+``tests/test_golden_determinism.py``).
 
 Two kinds of entry coexist on the schedule:
 
@@ -32,9 +22,8 @@ sequence space is guarded: exhausting 2**52 entries raises a
 priorities into each other.
 
 Hot-path producers (traffic sources, the NIC, the poller) push
-pre-packed tuples through :attr:`Simulator._push`, a bound callable the
-backend installs at construction, so they stay backend-agnostic without
-a dispatch branch per event.
+pre-packed tuples through :attr:`Simulator._push`, a
+``partial(heappush, heap)`` bound at construction.
 
 For generator processes that sleep in a hot loop,
 :meth:`Simulator.pooled_timeout` hands out :class:`Timeout` objects from
@@ -52,12 +41,10 @@ a bounded schedule.
 
 from __future__ import annotations
 
-import os
 from functools import partial
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional, Union
 
-from repro.sim.calqueue import CalendarQueue
 from repro.sim.errors import EmptySchedule, SimulationError, StopSimulation
 from repro.sim.events import PENDING, Event, Timeout, AllOf, AnyOf
 
@@ -78,27 +65,9 @@ _EVENT_MARKER = None  # placed in the fn slot for Event entries
 
 _INF = float("inf")
 
-#: Valid scheduler backend names.
-SCHEDULERS = ("heap", "calendar")
-
 #: Compaction trigger: at least this many dead entries *and* dead
 #: entries at least half the schedule (amortized O(1) per cancel).
 _COMPACT_MIN = 64
-
-
-def default_scheduler() -> str:
-    """The backend used when none is requested explicitly.
-
-    Resolves the ``REPRO_SCHEDULER`` environment variable (``"heap"`` or
-    ``"calendar"``); defaults to ``"calendar"``.
-    """
-    name = os.environ.get("REPRO_SCHEDULER") or "calendar"
-    if name not in SCHEDULERS:
-        raise SimulationError(
-            f"REPRO_SCHEDULER={name!r} is not a valid scheduler; "
-            f"choose one of {SCHEDULERS}"
-        )
-    return name
 
 
 class PeriodicHandle:
@@ -192,12 +161,6 @@ class Simulator:
         Initial value of the simulation clock (default ``0.0``).  Time
         units are whatever the model chooses; the data-plane models in this
         repository use **microseconds**.
-    scheduler:
-        Scheduler backend: ``"heap"`` (single binary heap) or
-        ``"calendar"`` (Brown-style calendar queue).  ``None`` resolves
-        via :func:`default_scheduler` (``REPRO_SCHEDULER`` env var,
-        falling back to ``"calendar"``).  Backends dispatch in the exact
-        same total order, so results are bit-identical either way.
 
     Notes
     -----
@@ -209,9 +172,7 @@ class Simulator:
     __slots__ = (
         "_now",
         "_heap",
-        "_calq",
         "_push",
-        "_scheduler",
         "_seq",
         "_running",
         "_stopped_value",
@@ -221,27 +182,12 @@ class Simulator:
         "_dead",
     )
 
-    def __init__(self, start_time: float = 0.0,
-                 scheduler: Optional[str] = None) -> None:
+    def __init__(self, start_time: float = 0.0) -> None:
         self._now: float = float(start_time)
-        if scheduler is None:
-            scheduler = default_scheduler()
-        if scheduler == "calendar":
-            self._heap = None
-            self._calq = CalendarQueue()
-            #: Backend-installed push: hot-path producers call this with a
-            #: pre-packed ``(time, key, fn, args)`` tuple.
-            self._push = self._calq.push
-        elif scheduler == "heap":
-            self._heap = []
-            self._calq = None
-            self._push = partial(heappush, self._heap)
-        else:
-            raise SimulationError(
-                f"unknown scheduler backend {scheduler!r}; "
-                f"choose one of {SCHEDULERS}"
-            )
-        self._scheduler: str = scheduler
+        self._heap: list = []
+        #: Hot-path producers call this with a pre-packed
+        #: ``(time, key, fn, args)`` tuple.
+        self._push = partial(heappush, self._heap)
         self._seq: int = 0
         self._running: bool = False
         self._stopped_value: Any = None
@@ -263,11 +209,6 @@ class Simulator:
         return self._now
 
     @property
-    def scheduler(self) -> str:
-        """Name of the active scheduler backend (``"heap"`` or ``"calendar"``)."""
-        return self._scheduler
-
-    @property
     def processed_count(self) -> int:
         """Number of schedule entries dispatched so far (cheap progress metric)."""
         return self._processed
@@ -280,15 +221,12 @@ class Simulator:
         compacted away yet, so treat this as an upper bound; the
         invariant sampler and tests use it as a liveness signal.
         """
-        heap = self._heap
-        return len(heap) if heap is not None else len(self._calq)
+        return len(self._heap)
 
     def peek(self) -> float:
         """Time of the next scheduled entry, or ``inf`` if none."""
         heap = self._heap
-        if heap is not None:
-            return heap[0][0] if heap else _INF
-        return self._calq.peek_time()
+        return heap[0][0] if heap else _INF
 
     # ------------------------------------------------------------------
     # Fast-path scheduling: plain callbacks
@@ -379,18 +317,14 @@ class Simulator:
 
         Removal never reallocates sequence numbers or reorders live
         entries, so compaction is invisible to the simulated trajectory.
-        Safe to run from inside a callback: both backends filter their
-        containers in place, so a draining loop's hoisted references
-        stay valid.
+        Safe to run from inside a callback: the heap is filtered in
+        place, so a draining loop's hoisted reference stays valid.
         """
         heap = self._heap
-        if heap is not None:
-            kept = [e for e in heap if not _entry_is_dead(e)]
-            if len(kept) != len(heap):
-                heap[:] = kept
-                heapify(heap)
-        else:
-            self._calq.remove_if(_entry_is_dead)
+        kept = [e for e in heap if not _entry_is_dead(e)]
+        if len(kept) != len(heap):
+            heap[:] = kept
+            heapify(heap)
         self._dead = 0
 
     # ------------------------------------------------------------------
@@ -506,15 +440,9 @@ class Simulator:
         Raises :class:`EmptySchedule` if the schedule is empty.
         """
         heap = self._heap
-        if heap is not None:
-            if not heap:
-                raise EmptySchedule("event schedule is empty")
-            e = heappop(heap)
-        else:
-            try:
-                e = self._calq.pop()
-            except IndexError:
-                raise EmptySchedule("event schedule is empty") from None
+        if not heap:
+            raise EmptySchedule("event schedule is empty")
+        e = heappop(heap)
         self._now = e[0]
         self._processed += 1
         fn = e[2]
@@ -557,10 +485,7 @@ class Simulator:
         if until < self._now:
             raise SimulationError(f"until={until} is in the past (now={self._now})")
         try:
-            if self._heap is not None:
-                self._drain_heap(until)
-            else:
-                self._calq.drain(self, until)
+            self._drain_heap(until)
         except StopSimulation as exc:
             return exc.value
         if self._now < until < _INF:
@@ -621,6 +546,5 @@ class Simulator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<Simulator now={self._now} pending={self.pending_count} "
-            f"scheduler={self._scheduler}>"
+            f"<Simulator now={self._now} pending={self.pending_count}>"
         )

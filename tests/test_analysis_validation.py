@@ -82,7 +82,11 @@ class TestFormulas:
 def run_single_queue(rate_pps, service_us, duration=400_000.0, exp_service=False,
                      seed=3):
     """Minimal single-server queue: Poisson arrivals, fixed/exp service,
-    no jitter, no batch overhead, no flow cache cost."""
+    no jitter, no batch overhead, no flow cache cost.
+
+    Returns ``(waits, sojourns)`` after a 20% warmup.  Sojourns are taken
+    in ``on_done`` as ``now - t_enq`` (the sink has not stamped
+    ``t_done`` yet at that point)."""
     sim = Simulator()
     factory = PacketFactory()
     rng = np.random.default_rng(seed)
@@ -98,9 +102,11 @@ def run_single_queue(rate_pps, service_us, duration=400_000.0, exp_service=False
         chain = Chain([Delay("det", base_cost=service_us)])
 
     waits = []
+    sojourns = []
 
     def on_done(pkt):
         waits.append(pkt.t_deq - pkt.t_enq)
+        sojourns.append(sim.now - pkt.t_enq)
 
     dp = DataPath(
         sim, 0, chain, on_done, rng=rng,
@@ -116,7 +122,8 @@ def run_single_queue(rate_pps, service_us, duration=400_000.0, exp_service=False
     src.start()
     sim.run(until=duration + 50_000.0)
     # Discard warmup (first 20%).
-    return np.array(waits[int(0.2 * len(waits)):])
+    skip = int(0.2 * len(waits))
+    return np.array(waits[skip:]), np.array(sojourns[skip:])
 
 
 class TestSimulatorVsTheory:
@@ -124,20 +131,34 @@ class TestSimulatorVsTheory:
     def test_md1_mean_wait_matches(self, rho):
         service = 1.0
         rate = rho * 1e6
-        waits = run_single_queue(rate, service)
+        waits, _ = run_single_queue(rate, service)
         predicted = md1_mean_wait(rho, service)
         assert waits.mean() == pytest.approx(predicted, rel=0.12, abs=0.03)
 
     def test_mm1_mean_wait_matches(self):
         rho, service = 0.6, 1.0
-        waits = run_single_queue(rho * 1e6, service, exp_service=True)
+        waits, _ = run_single_queue(rho * 1e6, service, exp_service=True)
         predicted = mm1_mean_wait(rho, service)
         assert waits.mean() == pytest.approx(predicted, rel=0.15)
 
+    @pytest.mark.parametrize("rho", [0.3, 0.6, 0.8])
+    def test_mm1_sojourn_quantiles_match(self, rho):
+        # M/M/1 sojourn is exponential with mean E[S]/(1-rho); its body
+        # and tail quantiles must match the closed form.  p99.9 is left
+        # out: with ~10^5 samples it sits on a few hundred points and
+        # strays well past this tolerance.
+        service = 1.0
+        _, sojourns = run_single_queue(rho * 1e6, service, exp_service=True)
+        for q in (0.5, 0.9, 0.99):
+            predicted = mm1_sojourn_quantile(rho, service, q)
+            measured = float(np.quantile(sojourns, q))
+            assert measured == pytest.approx(predicted, rel=0.06), q
+
     def test_deterministic_service_waits_less_than_exponential(self):
         rho, service = 0.7, 1.0
-        det = run_single_queue(rho * 1e6, service).mean()
-        exp = run_single_queue(rho * 1e6, service, exp_service=True).mean()
+        det = run_single_queue(rho * 1e6, service)[0].mean()
+        exp = run_single_queue(rho * 1e6, service,
+                               exp_service=True)[0].mean()
         assert det < exp
 
     def test_jitter_availability_matches_throughput(self, rng):

@@ -96,8 +96,7 @@ class TestInvariantEngine:
         assert res.check_report["ok"] is True
 
     def test_broken_dedup_caught(self, broken_dedup):
-        res = run_scenario(fast_config(policy="redundant2"),
-                           check=True, recycle=False)
+        res = run_scenario(fast_config(policy="redundant2"), check=True)
         rep = res.check_report
         assert rep["ok"] is False
         first = rep["first_violation"]
@@ -109,11 +108,11 @@ class TestInvariantEngine:
     def test_strict_mode_raises(self, broken_dedup):
         with pytest.raises(InvariantViolation, match="dedup"):
             run_scenario(fast_config(policy="redundant2"),
-                         check=CheckSpec(strict=True), recycle=False)
+                         check=CheckSpec(strict=True))
 
     def test_max_violations_caps_recording(self, broken_dedup):
         res = run_scenario(fast_config(policy="redundant2"),
-                           check=CheckSpec(max_violations=3), recycle=False)
+                           check=CheckSpec(max_violations=3))
         rep = res.check_report
         assert len(rep["violations"]) == 3
         assert rep["violation_count"] > 3  # counted past the cap
@@ -165,18 +164,17 @@ class TestFuzz:
     def test_fuzz_catches_mutant_and_writes_repro(self, broken_dedup,
                                                   tmp_path, monkeypatch):
         # Force every generated case onto the replication policy so the
-        # broken dedup is reachable, and disable recycling (both copies
-        # of a packet reach the sink under the mutation).
+        # broken dedup is reachable.
         import repro.check.fuzz as fuzz_mod
 
-        def armed_no_recycle(config, sample_interval=250.0):
+        run_armed = fuzz_mod.run_armed
+
+        def armed_redundant2(config, sample_interval=250.0):
             config = dataclasses.replace(config, policy="redundant2",
                                          n_paths=max(2, config.n_paths))
-            engine = InvariantEngine(CheckSpec(sample_interval=sample_interval))
-            return run_scenario(config, check=engine,
-                                recycle=False).check_report
+            return run_armed(config, sample_interval)
 
-        monkeypatch.setattr(fuzz_mod, "run_armed", armed_no_recycle)
+        monkeypatch.setattr(fuzz_mod, "run_armed", armed_redundant2)
         report = fuzz_scenarios(cases=1, seed=0, out_dir=str(tmp_path),
                                 shrink=False)
         assert report["ok"] is False
@@ -193,7 +191,6 @@ class TestFuzz:
                           duration=4000.0,
                           faults=FaultSchedule().hang(0, at=1000.0,
                                                       duration=800.0))
-        # Patch recycling off for the armed shrink runs (see above).
         minimal = shrink_config(cfg, sample_interval=500.0, budget=8)
         assert minimal.faults is None
         assert minimal.chain == "basic"
@@ -240,13 +237,19 @@ class TestDiffScenario:
         assert report["all_identical"] is True
         assert report["skipped"] == {"faults_kwarg":
                                      "config has no fault schedule"}
-        for name in ("telemetry", "recycle_off", "check_armed", "jobs"):
-            assert report["variants"][name]["identical"] is True
+        assert tuple(report["variants"]) == ("telemetry", "check_armed",
+                                             "jobs")
+        for entry in report["variants"].values():
+            assert entry["identical"] is True
         assert repro.schemas.validate(report) == "diff_report"
 
     def test_variant_subset(self):
-        report = diff_scenario(fast_config(), variants=["recycle_off"])
-        assert list(report["variants"]) == ["recycle_off"]
+        report = diff_scenario(fast_config(), variants=["check_armed"])
+        assert list(report["variants"]) == ["check_armed"]
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ValueError, match="scheduler"):
+            diff_scenario(fast_config(), variants=["scheduler"])
 
     def test_faults_kwarg_variant(self):
         from repro.faults import FaultSchedule
@@ -259,27 +262,25 @@ class TestDiffScenario:
 
 class TestRunOptions:
     def test_options_equivalent_to_legacy_kwargs(self):
+        # ``slo=`` is now a plain ScenarioConfig override; it must still
+        # give the same result as the RunOptions route.
         from repro.slo import SloSpec
 
         spec = SloSpec(objectives=("p99 <= 2000us",), window=1000.0)
         cfg = fast_config()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = repro.run(cfg, slo=spec)
+        legacy = repro.run(cfg, slo=spec)
         modern = repro.run(cfg, RunOptions(slo=spec))
         assert deep_diff(legacy.to_dict(), modern.to_dict()) == []
 
     def test_legacy_kwargs_warn_once(self):
-        repro._run_kwargs_warned = False
-        try:
-            with pytest.warns(DeprecationWarning, match="RunOptions"):
-                repro.run(fast_config(), slo=None, faults=None,
-                          telemetry=repro.Telemetry())
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                repro.run(fast_config(), telemetry=repro.Telemetry())
-        finally:
-            repro._run_kwargs_warned = True
+        # The deprecation shim is gone: ``slo=``/``faults=`` are config
+        # overrides that never warn, and ``telemetry=`` is not a config
+        # field, so it is refused outright.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            repro.run(fast_config(), slo=None, faults=None)
+        with pytest.raises(TypeError, match="telemetry"):
+            repro.run(fast_config(), telemetry=repro.Telemetry())
 
     def test_positional_non_options_rejected(self):
         with pytest.raises(TypeError, match="RunOptions"):
@@ -289,11 +290,8 @@ class TestRunOptions:
         from repro.faults import FaultSchedule
 
         sched = FaultSchedule().crash(0, at=500.0, duration=400.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValueError, match="faults"):
-                repro.run(fast_config(), RunOptions(faults=sched),
-                          faults=sched)
+        with pytest.raises(ValueError, match="faults"):
+            repro.run(fast_config(), RunOptions(faults=sched), faults=sched)
 
     def test_faults_on_config_and_options_rejected(self):
         from repro.faults import FaultSchedule

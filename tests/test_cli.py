@@ -266,10 +266,20 @@ class TestCheckCommand:
 
     def test_check_diff(self, capsys):
         assert main(["check", "diff", *CHECK_FAST,
-                     "--variant", "recycle_off",
                      "--variant", "check_armed"]) == 0
         out = capsys.readouterr().out
-        assert "recycle_off" in out and "all variants identical" in out
+        assert "check_armed" in out and "all variants identical" in out
+
+    def test_check_diff_variant_choices_match_harness(self, capsys):
+        from repro.check.diff import VARIANTS
+
+        for name in VARIANTS:
+            args = build_parser().parse_args(["check", "diff",
+                                              "--variant", name])
+            assert args.variants == [name]
+        with pytest.raises(SystemExit):
+            main(["check", "diff", "--variant", "scheduler"])
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_check_selftest(self, capsys, tmp_path):
         import json

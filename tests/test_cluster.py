@@ -11,6 +11,7 @@ The two load-bearing guarantees pinned here:
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -272,7 +273,7 @@ class TestRunDispatch:
                           objectives=("p99 <= 500us",))))
 
     def test_run_cluster_rejects_legacy_kwargs(self):
-        with pytest.raises(TypeError, match="cluster"):
+        with pytest.raises(TypeError, match="ClusterConfig.*telemetry"):
             repro.run(small_cluster(2), telemetry=repro.Telemetry())
 
     def test_run_cluster_rejects_telemetry_object(self):
@@ -292,7 +293,14 @@ class TestRunDispatch:
                      "run_sweep"):
             assert name in repro.__all__
             assert hasattr(repro, name)
-        assert repro.__version__.split(".")[0] == "2"
+        assert repro.__version__.split(".")[0] == "3"
+
+    def test_citation_version_matches_package(self):
+        cff = Path(__file__).resolve().parents[1] / "CITATION.cff"
+        versions = [line.split(":", 1)[1].strip()
+                    for line in cff.read_text().splitlines()
+                    if line.startswith("version:")]
+        assert versions == [repro.__version__]
 
     def test_cluster_telemetry_bundle(self, tmp_path):
         out = tmp_path / "bundle"

@@ -51,7 +51,8 @@ class TestGoldenDeterminism:
 
     def test_telemetry_is_invisible(self):
         off = repro.run(ScenarioConfig(**BASE))
-        on = repro.run(ScenarioConfig(**BASE), telemetry=Telemetry())
+        on = repro.run(ScenarioConfig(**BASE),
+                       repro.RunOptions(telemetry=Telemetry()))
         assert payload(off) == payload(on)
 
     def test_faulted_run_is_deterministic(self):
@@ -163,7 +164,8 @@ class TestSloDeterminism:
     def test_telemetry_is_invisible_to_slo_report(self):
         bare = repro.run(ScenarioConfig(**BASE), slo=repro.SloSpec(**SLO_KW))
         traced = repro.run(ScenarioConfig(**BASE),
-                           slo=repro.SloSpec(**SLO_KW), telemetry=Telemetry())
+                           repro.RunOptions(telemetry=Telemetry()),
+                           slo=repro.SloSpec(**SLO_KW))
         assert slo_payload(bare) == slo_payload(traced)
         assert (bare.slo_report["decisions"]
                 == traced.slo_report["decisions"])

@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim import Simulator, SimulationError, StopSimulation
 from repro.sim.errors import EmptySchedule
-from repro.sim.engine import LOW, NORMAL, URGENT
+from repro.sim.engine import _COMPACT_MIN, _SEQ_MAX, LOW, NORMAL, URGENT
 
 
 class TestClock:
@@ -56,6 +56,16 @@ class TestCallbacks:
         sim.call_at(1.0, seen.append, "urgent", priority=URGENT)
         sim.run()
         assert seen == ["urgent", "normal", "low"]
+
+    def test_same_time_priority_interleaving(self, sim):
+        out = []
+        sim.call_at(5.0, out.append, "low-1", priority=LOW)
+        sim.call_at(5.0, out.append, "urgent-1", priority=URGENT)
+        sim.call_at(5.0, out.append, "normal-1", priority=NORMAL)
+        sim.call_at(5.0, out.append, "urgent-2", priority=URGENT)
+        sim.call_at(5.0, out.append, "low-2", priority=LOW)
+        sim.run()
+        assert out == ["urgent-1", "urgent-2", "normal-1", "low-1", "low-2"]
 
     def test_cannot_schedule_in_past(self, sim):
         sim.call_at(10.0, lambda: None)
@@ -141,3 +151,91 @@ class TestDeterminism:
             return seen
 
         assert build() == build()
+
+
+class TestSequenceGuard:
+    def test_seq_space_guard(self, sim):
+        sim._seq = _SEQ_MAX  # next allocation would overflow the packing
+        with pytest.raises(SimulationError, match="sequence space exhausted"):
+            sim.call_at(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="sequence space exhausted"):
+            sim.call_in(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="sequence space exhausted"):
+            sim.timeout(1.0)
+
+    def test_seq_below_guard_still_works(self, sim):
+        sim._seq = _SEQ_MAX - 2
+        out = []
+        sim.call_at(1.0, out.append, 1)
+        sim.call_at(1.0, out.append, 2)
+        sim.run()
+        assert out == [1, 2]
+
+
+class TestPooledTimeout:
+    def test_pooled_timeout_recycled_not_retained(self, sim):
+        # The retention contract: a pooled timeout is reclaimed right
+        # after its callbacks run.  The resumed process allocates its
+        # next timeout *during* those callbacks, so reuse shows up one
+        # hop later: the third yield reuses the first object.
+        seen = []
+
+        def proc():
+            for _ in range(3):
+                t = sim.pooled_timeout(1.0)
+                seen.append(t)
+                yield t
+
+        sim.process(proc())
+        sim.run()
+        assert seen[1] is not seen[0]  # first still in flight at that point
+        assert seen[2] is seen[0]  # reused through the free list
+        assert len(sim._timeout_pool) == 2  # all reclaimed at the end
+
+
+class TestLazyDeletion:
+    def test_cancel_heavy_schedule_stays_bounded(self, sim):
+        # Regression test for lazy deletion: cancelling periodics leaves
+        # dead entries behind, and compaction must keep the schedule from
+        # growing linearly with cancellations.
+        n = 40 * _COMPACT_MIN
+        live = sim.periodic(1.0, lambda: None)
+
+        def churn():
+            for i in range(n):
+                h = sim.periodic(1_000_000.0, lambda: None)
+                h.cancel()
+                yield sim.pooled_timeout(0.001)
+
+        sim.process(churn())
+        # sample pending_count as the churn runs
+        probe = sim.periodic(0.5, lambda: None)
+        sim.run(until=sim.now + n * 0.001 + 1.0)
+        probe.cancel()
+        live.cancel()
+        # dead entries never dominate: the bound is one compaction period
+        # (live entries + as many dead ones), far below n.
+        assert sim.pending_count <= 2 * (_COMPACT_MIN + 16)
+        assert sim._dead * 2 <= sim.pending_count + 2 * _COMPACT_MIN
+
+    def test_cancelled_periodic_never_fires_after_compaction(self, sim):
+        fired = []
+        handles = [sim.periodic(1.0, lambda i=i: fired.append(i))
+                   for i in range(2 * _COMPACT_MIN)]
+        for h in handles[1:]:
+            h.cancel()
+        sim.run(until=5.5)
+        handles[0].cancel()
+        assert set(fired) == {0}
+        assert handles[0].fired == 5
+
+
+class TestPendingCount:
+    def test_same_time_burst_counts_down(self, sim):
+        # Read from inside a callback, the count already excludes the
+        # entry being dispatched.
+        reads = []
+        for _ in range(1000):
+            sim.call_at(5.0, lambda: reads.append(sim.pending_count))
+        sim.run()
+        assert reads == list(range(999, -1, -1))

@@ -470,7 +470,8 @@ class TestViolationAttribution:
     def test_events_emitted_with_dominant_stage(self):
         telemetry = repro.Telemetry()
         spec = SloSpec(objectives=("p99 <= 5us",), window=2_000.0)
-        repro.run(ScenarioConfig(**RUN_KW), slo=spec, telemetry=telemetry)
+        repro.run(ScenarioConfig(**RUN_KW),
+                  repro.RunOptions(telemetry=telemetry), slo=spec)
         events = [e for e in telemetry.events if e.name == "slo:violation"]
         assert events, "a 5us p99 bound must violate"
         attributed = [e for e in events if "dominant_stage" in e.args]
@@ -485,7 +486,8 @@ class TestViolationAttribution:
     def test_no_spans_means_events_without_attribution(self):
         telemetry = repro.Telemetry(spans=False)
         spec = SloSpec(objectives=("p99 <= 5us",), window=2_000.0)
-        repro.run(ScenarioConfig(**RUN_KW), slo=spec, telemetry=telemetry)
+        repro.run(ScenarioConfig(**RUN_KW),
+                  repro.RunOptions(telemetry=telemetry), slo=spec)
         events = [e for e in telemetry.events if e.name == "slo:violation"]
         assert events
         assert all("dominant_stage" not in e.args for e in events)
@@ -493,7 +495,7 @@ class TestViolationAttribution:
     def test_attribution_stays_out_of_the_report(self):
         telemetry = repro.Telemetry()
         spec = SloSpec(objectives=("p99 <= 5us",), window=2_000.0)
-        result = repro.run(ScenarioConfig(**RUN_KW), slo=spec,
-                           telemetry=telemetry)
+        result = repro.run(ScenarioConfig(**RUN_KW),
+                           repro.RunOptions(telemetry=telemetry), slo=spec)
         text = json.dumps(result.slo_report)
         assert "dominant_stage" not in text
